@@ -3,6 +3,9 @@
 // the batch queues, dimension hash probes, predicate evaluation, and
 // aggregation folding.
 
+#include <string>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "cjoin/dim_hash_table.h"
@@ -139,13 +142,34 @@ void BM_PredicateEval(benchmark::State& state) {
 BENCHMARK(BM_PredicateEval);
 
 void BM_GroupTableFold(benchmark::State& state) {
+  // The star aggregators' shape: an INT32 and a CHAR(15) group key (SSB's
+  // d_year, c_nation) read in place from row bytes, COUNT(*) and SUM.
   const int64_t groups = state.range(0);
-  GroupTable table({AggFn::kCount, AggFn::kSum});
+  GroupTable table(GroupLayout{
+      {FieldType{FieldType::Kind::kInt32, 0},
+       FieldType{FieldType::Kind::kChar, 15}},
+      {AggDef{AggFn::kCount, {}},
+       AggDef{AggFn::kSum, FieldType{FieldType::Kind::kInt64, 0}}}});
+  Schema rows;
+  rows.AddInt32("year").AddChar("nation", 15);
+  std::vector<std::vector<uint8_t>> keys(static_cast<size_t>(groups));
+  for (int64_t g = 0; g < groups; ++g) {
+    std::vector<uint8_t>& row = keys[static_cast<size_t>(g)];
+    row.assign(rows.row_size(), 0);
+    rows.SetInt32(row.data(), 0, static_cast<int32_t>(1992 + g % 7));
+    rows.SetChar(row.data(), 1, "NATION" + std::to_string(g));
+  }
+  const int64_t revenue = 10;
+  const uint8_t* inputs[2] = {nullptr,
+                              reinterpret_cast<const uint8_t*>(&revenue)};
   Rng rng(4);
-  std::vector<Value> inputs = {Value(), Value(int64_t{10})};
   for (auto _ : state) {
-    std::vector<Value> key = {Value(rng.UniformInt(0, groups - 1))};
-    table.Fold(std::move(key), inputs);
+    const uint8_t* row = keys[static_cast<size_t>(
+                                  rng.UniformInt(0, groups - 1))]
+                             .data();
+    const uint8_t* key[2] = {row + rows.column(0).offset,
+                             row + rows.column(1).offset};
+    table.Fold(key, inputs);
   }
 }
 BENCHMARK(BM_GroupTableFold)->Arg(16)->Arg(4096);

@@ -8,9 +8,10 @@
 //   2. through the conventional query-at-a-time executor, 32 worker
 //      threads with private plans.
 //
-// Both run behind the same simulated warehouse disk (DESIGN.md §2): the
-// paper's fact table is far larger than RAM, so concurrent private scans
-// contend for one device while CJOIN's single continuous scan does not.
+// Both run behind the same simulated warehouse disk (README, "Simulated
+// disk"): the paper's fact table is far larger than RAM, so concurrent
+// private scans contend for one device while CJOIN's single continuous
+// scan does not.
 //
 //   $ ./examples/concurrent_analytics [scale_factor]
 

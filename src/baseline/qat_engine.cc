@@ -14,10 +14,11 @@ namespace cjoin {
 namespace {
 
 /// One hash join of the pipeline: the dimension's hash table plus the fact
-/// foreign-key column to probe with.
+/// foreign-key column to probe with (offset and width resolved once).
 struct JoinStage {
   size_t dim_index = 0;
-  size_t fact_fk_col = 0;
+  uint32_t fk_offset = 0;
+  bool fk_is_i32 = false;
   KeyRowMap table;
   double selectivity = 1.0;  // |hash table| / |dimension|
 };
@@ -62,9 +63,14 @@ Result<ResultSet> ExecuteStarQuery(const StarQuerySpec& spec,
     const Table& dim = *def.table;
     const Schema& dschema = dim.schema();
 
+    const Column& fk = star.fact().schema().column(def.fact_fk_col);
+    const Column& pk = dschema.column(def.dim_pk_col);
+    const bool pk_is_i32 = pk.type == DataType::kInt32;
+
     JoinStage stage;
     stage.dim_index = dp.dim_index;
-    stage.fact_fk_col = def.fact_fk_col;
+    stage.fk_offset = fk.offset;
+    stage.fk_is_i32 = fk.type == DataType::kInt32;
     stage.table = KeyRowMap(static_cast<size_t>(dim.NumRows()));
 
     for (uint32_t p = 0; p < dim.num_partitions(); ++p) {
@@ -74,7 +80,7 @@ Result<ResultSet> ExecuteStarQuery(const StarQuerySpec& spec,
         if (!dim.Header(id)->VisibleAt(spec.snapshot)) continue;
         const uint8_t* row = dim.RowPayload(id);
         if (!dp.predicate->EvalBool(dschema, row)) continue;
-        stage.table.Insert(dschema.GetIntAny(row, def.dim_pk_col), row);
+        stage.table.Insert(LoadFkKey(row, pk.offset, pk_is_i32), row);
       }
     }
     local_stats.dim_rows_hashed += stage.table.size();
@@ -95,7 +101,7 @@ Result<ResultSet> ExecuteStarQuery(const StarQuerySpec& spec,
   local_stats.build_seconds = watch.ElapsedSeconds();
   watch.Restart();
 
-  // ---- Probe phase: private scan of the fact table ----
+  // ---- Probe phase: private scan of the fact table, a run at a time ----
   const Schema& fschema = star.fact().schema();
   std::unique_ptr<StarAggregator> agg = MakeHashAggregator(spec);
 
@@ -105,44 +111,78 @@ Result<ResultSet> ExecuteStarQuery(const StarQuerySpec& spec,
   scan_opts.reader_id = options.reader_id;
   SinglePassScan scan(star.fact(), scan_opts, spec.partitions);
 
-  std::vector<const uint8_t*> dim_rows(star.num_dimensions(), nullptr);
+  const size_t num_dims = star.num_dimensions();
   const size_t stride = star.fact().row_stride();
   const bool has_fact_pred =
       spec.fact_predicate != nullptr && !IsTrueLiteral(spec.fact_predicate);
+
+  // Per-run scratch, indexed by the row's position in the run: the
+  // selection vector of rows still alive and each row's joined dimension
+  // rows (nullptr for dimensions the query does not reference).
+  std::vector<uint32_t> sel;
+  std::vector<const uint8_t*> dim_rows;
+  const JoinStage* first_join = stages.empty() ? nullptr : &stages[0];
 
   ScanEvent ev;
   uint64_t burn_sink = 0;
   while (scan.Next(&ev)) {
     if (ev.kind != ScanEvent::Kind::kRows) continue;
     CJOIN_RETURN_IF_ERROR(CheckInterrupt(options));
+    if (sel.size() < ev.count) {
+      sel.resize(ev.count);
+      dim_rows.resize(ev.count * num_dims, nullptr);
+    }
+    const uint8_t* const base = ev.base;
+    auto payload = [base, stride](size_t r) {
+      return base + r * stride + sizeof(RowHeader);
+    };
+    // Gathers row r's foreign key with the join's hoisted typed load,
+    // probes its hash table and records the joined dimension row.
+    auto join = [&](const JoinStage& stage, size_t r) {
+      const uint8_t* drow = stage.table.Find(
+          LoadFkKey(payload(r), stage.fk_offset, stage.fk_is_i32));
+      if (drow == nullptr) return false;
+      dim_rows[r * num_dims + stage.dim_index] = drow;
+      return true;
+    };
+
+    // Selection: the rows visible at the snapshot that pass the fact
+    // predicate and the first (most selective) join. Probing that join
+    // while the row is at hand keeps the rows a selective query drops —
+    // nearly all of them — out of the selection vector.
+    const SnapshotId snap = spec.snapshot;
+    size_t n = 0;
     for (size_t r = 0; r < ev.count; ++r) {
-      const uint8_t* slot = ev.base + r * stride;
-      const RowHeader* hdr = reinterpret_cast<const RowHeader*>(slot);
-      const uint8_t* fact_row = slot + sizeof(RowHeader);
-      ++local_stats.fact_rows_scanned;
+      const RowHeader* hdr =
+          reinterpret_cast<const RowHeader*>(base + r * stride);
       if (options.per_tuple_overhead > 0) {
-        burn_sink ^=
-            BurnOverhead(local_stats.fact_rows_scanned,
-                         options.per_tuple_overhead);
+        burn_sink ^= BurnOverhead(local_stats.fact_rows_scanned + r + 1,
+                                  options.per_tuple_overhead);
       }
-      if (!hdr->VisibleToAll() && !hdr->VisibleAt(spec.snapshot)) continue;
+      if (!hdr->VisibleToAll() && !hdr->VisibleAt(snap)) continue;
       if (has_fact_pred &&
-          !spec.fact_predicate->EvalBool(fschema, fact_row)) {
+          !spec.fact_predicate->EvalBool(fschema, payload(r))) {
         continue;
       }
-      bool pass = true;
-      for (const JoinStage& stage : stages) {
-        const int64_t fk = fschema.GetIntAny(fact_row, stage.fact_fk_col);
-        const uint8_t* drow = stage.table.Find(fk);
-        if (drow == nullptr) {
-          pass = false;
-          break;
-        }
-        dim_rows[stage.dim_index] = drow;
+      if (first_join != nullptr && !join(*first_join, r)) continue;
+      sel[n++] = static_cast<uint32_t>(r);
+    }
+    local_stats.fact_rows_scanned += ev.count;
+
+    // The remaining joins, in selectivity order, each compacting the
+    // selection to the rows that found their dimension row.
+    for (size_t s = 1; s < stages.size() && n > 0; ++s) {
+      size_t m = 0;
+      for (size_t j = 0; j < n; ++j) {
+        if (join(stages[s], sel[j])) sel[m++] = sel[j];
       }
-      if (!pass) continue;
-      ++local_stats.fact_rows_output;
-      agg->Consume(fact_row, dim_rows.data());
+      n = m;
+    }
+
+    // Fold the survivors.
+    local_stats.fact_rows_output += n;
+    for (size_t j = 0; j < n; ++j) {
+      agg->Consume(payload(sel[j]), dim_rows.data() + sel[j] * num_dims);
     }
   }
   // Keep the overhead loop from being optimized away.

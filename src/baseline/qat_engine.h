@@ -12,6 +12,13 @@
 //               then scan the fact table privately, probing the hash
 //               tables in ascending-selectivity order, and aggregate.
 //
+// The probe side runs a scan run (<= scan_batch_rows) at a time: a
+// selection vector of the rows visible at the snapshot that pass the
+// fact predicate, then per join a typed gather of the foreign keys, a
+// batched (prefetching) hash-table probe and a compaction of the
+// selection, and finally one fold per surviving row into the
+// fixed-width GroupTable kernel.
+//
 // Under concurrency every query pays its own scan and its own hash
 // builds — the contention the paper attributes to the query-at-a-time
 // model. A per-tuple overhead knob models the heavier tuple interpreter

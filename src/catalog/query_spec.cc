@@ -22,11 +22,8 @@ const char* AggFnName(AggFn fn) {
   return "?";
 }
 
-namespace {
-
-Status CheckSource(const StarQuerySpec& spec, const ColumnSource& src,
-                   const char* what) {
-  const StarSchema& star = *spec.schema;
+Status CheckColumnSource(const StarSchema& star, const ColumnSource& src,
+                         const char* what) {
   if (src.from == ColumnSource::From::kFact) {
     if (src.column >= star.fact().schema().num_columns()) {
       return Status::InvalidArgument(std::string(what) +
@@ -46,7 +43,11 @@ Status CheckSource(const StarQuerySpec& spec, const ColumnSource& src,
   return Status::OK();
 }
 
-}  // namespace
+const Schema& SourceSchema(const StarSchema& star, const ColumnSource& src) {
+  return src.from == ColumnSource::From::kFact
+             ? star.fact().schema()
+             : star.dimension(src.dim_index).table->schema();
+}
 
 Status ValidateSpec(const StarQuerySpec& spec) {
   if (spec.schema == nullptr) {
@@ -76,7 +77,7 @@ Status ValidateSpec(const StarQuerySpec& spec) {
   }
 
   for (const ColumnSource& src : spec.group_by) {
-    CJOIN_RETURN_IF_ERROR(CheckSource(spec, src, "group-by"));
+    CJOIN_RETURN_IF_ERROR(CheckColumnSource(star, src, "group-by"));
     if (src.from == ColumnSource::From::kDimension &&
         referenced.count(src.dim_index) == 0) {
       return Status::InvalidArgument(
@@ -95,7 +96,13 @@ Status ValidateSpec(const StarQuerySpec& spec) {
                                      " aggregate requires an input");
     }
     if (agg.input.has_value()) {
-      CJOIN_RETURN_IF_ERROR(CheckSource(spec, *agg.input, "aggregate"));
+      CJOIN_RETURN_IF_ERROR(CheckColumnSource(star, *agg.input, "aggregate"));
+      if ((agg.fn == AggFn::kSum || agg.fn == AggFn::kAvg) &&
+          SourceSchema(star, *agg.input).column(agg.input->column).type ==
+              DataType::kChar) {
+        return Status::InvalidArgument(std::string(AggFnName(agg.fn)) +
+                                       " input must be numeric");
+      }
       if (agg.input->from == ColumnSource::From::kDimension &&
           referenced.count(agg.input->dim_index) == 0) {
         return Status::InvalidArgument(

@@ -105,6 +105,15 @@ struct StarQuerySpec {
   std::string label;
 };
 
+/// Checks that `src` names an existing column of `star`; `what` prefixes
+/// the error message.
+Status CheckColumnSource(const StarSchema& star, const ColumnSource& src,
+                         const char* what);
+
+/// The schema `src` reads through: the fact table's or its dimension's.
+/// `src` must pass CheckColumnSource.
+const Schema& SourceSchema(const StarSchema& star, const ColumnSource& src);
+
 /// Checks internal consistency: dimension indices in range, group-by /
 /// aggregate sources referencing the fact or a referenced dimension,
 /// partition ids valid, label arities matching.

@@ -304,9 +304,9 @@ void CJoinOperator::AdmitQuery(const std::shared_ptr<QueryRuntime>& rt) {
   }
 
   // Algorithm 1 lines 3-10, plus the id-reuse invariant restoration
-  // (DESIGN.md §5): bit `qid` of every stored tuple must read as
-  // "selected or not referenced" for THIS query before any fact tuple
-  // carries the bit.
+  // (README, "Dimension filters and query-id reuse"): bit `qid` of every
+  // stored tuple must read as "selected or not referenced" for THIS query
+  // before any fact tuple carries the bit.
   for (size_t d = 0; d < num_dims_; ++d) {
     Filter& f = *filters_[d];
     f.table->SetComplementBit(qid, !referenced[d]);

@@ -141,7 +141,8 @@ class DimensionHashTable {
 
   /// Sets or clears bit `query_id` across all stored entries (shared lock
   /// taken internally; atomic per word). Used to restore the bit-vector
-  /// invariant when a query id is (re)assigned — see DESIGN.md §5.
+  /// invariant when a query id is (re)assigned — see README, "Dimension
+  /// filters and query-id reuse".
   void SetBitForAllEntries(size_t query_id, bool value) EXCLUDES(mu_);
 
   /// Removes entries whose bit-vectors are all-zero across `active_words`

@@ -5,7 +5,8 @@
 // a two-word bit test (the probe-skipping optimization of §3.2.2 with
 // b_Dj = all-ones), so the fixed filter set costs nothing — dynamic
 // insertion/removal of Filters (Algorithms 1/2, lines 17-18 / 10-13)
-// degenerates to complement-bitmap updates. See DESIGN.md §5.
+// degenerates to complement-bitmap updates. See README, "Dimension
+// filters and query-id reuse".
 //
 // The *order* of filters is the run-time-optimized quantity (§3.4): an
 // immutable ordering vector swapped atomically by the Pipeline Manager;

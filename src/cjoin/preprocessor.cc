@@ -78,7 +78,8 @@ void Preprocessor::ComputeCheckpoint(const std::vector<uint32_t>& partitions,
   const uint64_t i_cur = scan_.current_index();
 
   // Rank each candidate completion event by its distance in scan order;
-  // the query finishes at the farthest one (see DESIGN.md / §3.3.2).
+  // the query finishes at the farthest one (§3.3.2; README, "Query
+  // completion checkpoints").
   uint64_t best_rank = 0;
   bool have = false;
   for (uint32_t p : needed) {

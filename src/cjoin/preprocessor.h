@@ -97,8 +97,9 @@ class Preprocessor {
   /// Per-registered-query bookkeeping.
   struct ActiveQuery {
     std::shared_ptr<QueryRuntime> runtime;
-    // Completion checkpoint (see DESIGN.md and §3.3.2): either "revisit
-    // index X of partition P in pass L" or "end of pass L of partition P".
+    // Completion checkpoint (§3.3.2; README, "Query completion
+    // checkpoints"): either "revisit index X of partition P in pass L" or
+    // "end of pass L of partition P".
     enum class CkKind { kRevisitIndex, kPassEnd, kImmediate };
     CkKind ck_kind = CkKind::kImmediate;
     uint32_t ck_partition = 0;

@@ -82,7 +82,7 @@ struct MergeState {
   std::shared_ptr<obs::QueryTrace> trace;
 
   // Finalization metadata derived from the normalized spec.
-  std::vector<AggFn> fns;
+  GroupLayout layout;
   std::vector<std::string> columns;
   bool global_row_when_empty = false;
 
@@ -144,7 +144,7 @@ struct MergeState {
       if (box->shared_agg != nullptr) {
         rs = box->shared_agg->Finish();
       } else {
-        GroupTable merged(fns);
+        GroupTable merged(layout);
         for (auto& partial : box->by_shard) {
           if (partial.has_value()) {
             merged.MergeFrom(std::move(*partial));
@@ -245,7 +245,7 @@ Result<std::unique_ptr<QueryHandle>> ShardedCJoinOperator::Submit(
     state->remaining = shards_.size();
     state->shard_handles.resize(shards_.size());
   }
-  for (const AggregateSpec& a : spec.aggregates) state->fns.push_back(a.fn);
+  state->layout = StarGroupLayout(spec);
   state->columns = spec.group_by_labels;
   for (const AggregateSpec& a : spec.aggregates) {
     state->columns.push_back(a.label);

@@ -1,7 +1,6 @@
 #include "cjoin/stage.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "cjoin/query_runtime.h"
 #include "common/bitvector.h"
@@ -53,24 +52,6 @@ void Stage::Join() {
   }
   threads_.clear();
 }
-
-namespace {
-
-/// Hoisted foreign-key load: the column's offset and physical width are
-/// resolved once per filter, not per tuple (what Schema::GetIntAny would
-/// redo for every probe).
-inline int64_t LoadFkKey(const uint8_t* row, uint32_t offset, bool is_i32) {
-  if (is_i32) {
-    int32_t v;
-    std::memcpy(&v, row + offset, sizeof(v));
-    return static_cast<int64_t>(v);
-  }
-  int64_t v;
-  std::memcpy(&v, row + offset, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 size_t Stage::FilterBatch(TupleBatch* batch, const FilterOrder& filters) {
   size_t live = batch->slots.size();

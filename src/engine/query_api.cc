@@ -39,7 +39,9 @@ const std::string& QueryTicket::label() const {
 SnapshotId QueryTicket::snapshot() const {
   if (cjoin_ != nullptr) return cjoin_->snapshot();
   if (baseline_ != nullptr) return baseline_->spec.snapshot;
-  if (deferred_ != nullptr) return deferred_->snapshot;
+  if (deferred_ != nullptr) {
+    return deferred_->snapshot.load(std::memory_order_acquire);
+  }
   return snapshot_;
 }
 

@@ -109,7 +109,10 @@ struct DeferredQuery {
 
   std::promise<Result<ResultSet>> promise;
   std::string label;
-  SnapshotId snapshot = 0;
+  /// The snapshot the query reads: the request's until the grant, then
+  /// the grant-time capped one (published before the pipeline can
+  /// complete the query).
+  std::atomic<SnapshotId> snapshot{0};
   /// Per-query span trace, threaded into the pipeline submission once the
   /// slot is granted (may be null).
   std::shared_ptr<obs::QueryTrace> trace;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <thread>
 
@@ -15,38 +16,31 @@ namespace cjoin {
 
 namespace {
 
-/// Reads a ColumnSource value given a fact row and attached dim rows.
-Value ReadSource(const StarSchema& star, const ColumnSource& src,
-                 const uint8_t* fact_row, const uint8_t* const* dim_rows) {
-  const Schema* schema;
-  const uint8_t* row;
-  if (src.from == ColumnSource::From::kFact) {
-    schema = &star.fact().schema();
-    row = fact_row;
-  } else {
-    schema = &star.dimension(src.dim_index).table->schema();
-    row = dim_rows[src.dim_index];
-  }
-  if (row == nullptr) return Value();
-  const Column& c = schema->column(src.column);
-  switch (c.type) {
-    case DataType::kInt32:
-      return Value(static_cast<int64_t>(schema->GetInt32(row, src.column)));
-    case DataType::kInt64:
-      return Value(schema->GetInt64(row, src.column));
-    case DataType::kDouble:
-      return Value(schema->GetDouble(row, src.column));
-    case DataType::kChar:
-      return Value(schema->GetChar(row, src.column));
-  }
-  return Value();
-}
-
-/// Rows collected from one side of a galaxy join: the fact-to-fact join
-/// key plus the projected output values.
+/// One side of a galaxy join: the fact join key of every joined tuple and
+/// its projected columns, kept as fixed-width records — per column a null
+/// byte, then the column's raw bytes — that feed the GroupTable directly.
 struct CollectedSide {
+  std::vector<ColumnSource> projection;
+  std::vector<Column> columns;   ///< storage column of each projection
+  std::vector<uint32_t> offsets; ///< of each column's null byte
+  size_t stride = 0;
   std::vector<int64_t> keys;
-  std::vector<std::vector<Value>> values;
+  std::vector<uint8_t> records;
+
+  void Bind(std::vector<ColumnSource> proj, std::vector<Column> cols) {
+    projection = std::move(proj);
+    columns = std::move(cols);
+    for (const Column& c : columns) {
+      offsets.push_back(static_cast<uint32_t>(stride));
+      stride += 1 + c.width();
+    }
+  }
+
+  /// Raw bytes of column `c` of record `r`, or nullptr for NULL.
+  const uint8_t* Field(size_t r, size_t c) const {
+    const uint8_t* p = records.data() + r * stride + offsets[c];
+    return p[0] != 0 ? nullptr : p + 1;
+  }
 };
 
 /// Aggregator that materializes joined tuples instead of aggregating. On a
@@ -56,24 +50,33 @@ struct CollectedSide {
 class CollectorAggregator final : public StarAggregator {
  public:
   CollectorAggregator(const StarSchema& star, size_t join_col,
-                      std::vector<ColumnSource> projection,
                       CollectedSide* out)
-      : star_(star),
-        join_col_(join_col),
-        projection_(std::move(projection)),
-        out_(out) {}
+      : out_(out) {
+    const Column& jc = star.fact().schema().column(join_col);
+    join_offset_ = jc.offset;
+    join_is_i32_ = jc.type == DataType::kInt32;
+  }
 
   void Consume(const uint8_t* fact_row,
                const uint8_t* const* dim_rows) override {
     ++consumed_;
-    out_->keys.push_back(
-        star_.fact().schema().GetIntAny(fact_row, join_col_));
-    std::vector<Value> vals;
-    vals.reserve(projection_.size());
-    for (const ColumnSource& src : projection_) {
-      vals.push_back(ReadSource(star_, src, fact_row, dim_rows));
+    out_->keys.push_back(LoadFkKey(fact_row, join_offset_, join_is_i32_));
+    const size_t base = out_->records.size();
+    out_->records.resize(base + out_->stride, 0);
+    uint8_t* rec = out_->records.data() + base;
+    for (size_t c = 0; c < out_->projection.size(); ++c) {
+      const ColumnSource& src = out_->projection[c];
+      const uint8_t* row = src.from == ColumnSource::From::kFact
+                               ? fact_row
+                               : dim_rows[src.dim_index];
+      uint8_t* p = rec + out_->offsets[c];
+      if (row == nullptr) {
+        p[0] = 1;
+        continue;
+      }
+      const Column& col = out_->columns[c];
+      std::memcpy(p + 1, row + col.offset, col.width());
     }
-    out_->values.push_back(std::move(vals));
   }
 
   ResultSet Finish() override {
@@ -85,10 +88,9 @@ class CollectorAggregator final : public StarAggregator {
   uint64_t tuples_consumed() const override { return consumed_; }
 
  private:
-  const StarSchema& star_;
-  size_t join_col_;
-  std::vector<ColumnSource> projection_;
   CollectedSide* out_;
+  uint32_t join_offset_ = 0;
+  bool join_is_i32_ = false;
   uint64_t consumed_ = 0;
 };
 
@@ -446,7 +448,8 @@ Result<QueryEngine::StarEntry*> QueryEngine::ResolveRequest(
 
 Result<std::unique_ptr<QueryHandle>> QueryEngine::SubmitToCJoin(
     StarEntry* entry, const std::shared_ptr<ExecPool>& pool,
-    StarQuerySpec spec, CJoinOperator::SubmitOptions options) {
+    StarQuerySpec spec, CJoinOperator::SubmitOptions options,
+    std::atomic<SnapshotId>* read_snapshot) {
   // Exact snapshot semantics under concurrent appends: every shard's
   // continuous scan covers rows up to its last freeze, so while appends
   // beyond the pool-wide covered bound exist, cap the query's snapshot at
@@ -457,6 +460,9 @@ Result<std::unique_ptr<QueryHandle>> QueryEngine::SubmitToCJoin(
   if (entry->last_append_snapshot.load(std::memory_order_acquire) >
       covered) {
     spec.snapshot = std::min(spec.snapshot, covered);
+  }
+  if (read_snapshot != nullptr) {
+    read_snapshot->store(spec.snapshot, std::memory_order_release);
   }
   return pool->op->Submit(std::move(spec), std::move(options));
 }
@@ -548,7 +554,8 @@ Result<std::unique_ptr<QueryTicket>> QueryEngine::Execute(
         [&]() -> AdmissionController::GrantFn {
       deferred = std::make_shared<DeferredQuery>();
       deferred->label = request.spec.label;
-      deferred->snapshot = request.spec.snapshot;
+      deferred->snapshot.store(request.spec.snapshot,
+                               std::memory_order_relaxed);
       deferred->trace = trace;
       deferred->submit_ns.store(QueryRuntime::NowNs(),
                                 std::memory_order_relaxed);
@@ -797,8 +804,10 @@ AdmissionController::GrantFn QueryEngine::MakeDeferredGrant(
                         QueryRuntime::NowNs());
       deferred->TryResolve(result);
     };
-    Result<std::unique_ptr<QueryHandle>> handle =
-        SubmitToCJoin(entry, pool, std::move(spec), std::move(so));
+    // The ticket reports the snapshot the pipeline reads: the grant-time
+    // cap, not the one sampled when the query was parked.
+    Result<std::unique_ptr<QueryHandle>> handle = SubmitToCJoin(
+        entry, pool, std::move(spec), std::move(so), &deferred->snapshot);
     if (!handle.ok()) {
       admission_->Release(tenant, RouteChoice::kCJoin);
       deferred->TryResolve(handle.status());
@@ -937,13 +946,19 @@ Result<ResultSet> QueryEngine::ExecuteGalaxyJoin(const GalaxyJoinSpec& spec) {
   }
 
   // Projections per side, deduplicated; remember where each output lands.
+  const StarSchema* schemas[2] = {lentry->star.get(), rentry->star.get()};
   std::vector<ColumnSource> proj[2];
-  auto project = [&](int side, const ColumnSource& src) -> size_t {
+  std::vector<Column> proj_cols[2];
+  auto project = [&](int side, const ColumnSource& src) -> Result<size_t> {
     auto& p = proj[side];
     for (size_t i = 0; i < p.size(); ++i) {
       if (p[i] == src) return i;
     }
+    CJOIN_RETURN_IF_ERROR(
+        CheckColumnSource(*schemas[side], src, "galaxy output"));
     p.push_back(src);
+    proj_cols[side].push_back(
+        SourceSchema(*schemas[side], src).column(src.column));
     return p.size() - 1;
   };
   struct OutRef {
@@ -951,24 +966,35 @@ Result<ResultSet> QueryEngine::ExecuteGalaxyJoin(const GalaxyJoinSpec& spec) {
     size_t index;
   };
   std::vector<OutRef> key_refs;
+  GroupLayout layout;
   for (const auto& g : spec.group_by) {
     if (g.side != 0 && g.side != 1) {
       return Status::InvalidArgument("galaxy output side must be 0 or 1");
     }
-    key_refs.push_back({g.side, project(g.side, g.source)});
+    CJOIN_ASSIGN_OR_RETURN(size_t index, project(g.side, g.source));
+    key_refs.push_back({g.side, index});
+    layout.keys.push_back(FieldType::Of(proj_cols[g.side][index]));
   }
   std::vector<OutRef> agg_refs;
-  std::vector<AggFn> fns;
   for (const auto& a : spec.aggregates) {
     if (a.side != 0 && a.side != 1) {
       return Status::InvalidArgument("galaxy output side must be 0 or 1");
     }
-    fns.push_back(a.fn);
+    AggDef def;
+    def.fn = a.fn;
     if (a.input.has_value()) {
-      agg_refs.push_back({a.side, project(a.side, *a.input)});
+      CJOIN_ASSIGN_OR_RETURN(size_t index, project(a.side, *a.input));
+      agg_refs.push_back({a.side, index});
+      def.input = FieldType::Of(proj_cols[a.side][index]);
+      if ((a.fn == AggFn::kSum || a.fn == AggFn::kAvg) &&
+          def.input.kind == FieldType::Kind::kChar) {
+        return Status::InvalidArgument(std::string(AggFnName(a.fn)) +
+                                       " input must be numeric");
+      }
     } else {
       agg_refs.push_back({a.side, SIZE_MAX});  // COUNT(*)
     }
+    layout.aggs.push_back(def);
   }
 
   // Run both star sub-queries concurrently through the unified Execute()
@@ -977,23 +1003,20 @@ Result<ResultSet> QueryEngine::ExecuteGalaxyJoin(const GalaxyJoinSpec& spec) {
   // operator"). Both sides read the same snapshot and share the request
   // deadline; if one side fails, the other is cancelled.
   CollectedSide sides[2];
-  const StarSchema* schemas[2] = {lentry->star.get(), rentry->star.get()};
   const size_t join_cols[2] = {spec.left_join_col, spec.right_join_col};
   StarQuerySpec sub[2] = {spec.left, spec.right};
   const SnapshotId snap = CurrentSnapshot();
   std::unique_ptr<QueryTicket> tickets[2];
   for (int s = 0; s < 2; ++s) {
     if (sub[s].snapshot == kReadLatestSnapshot) sub[s].snapshot = snap;
+    sides[s].Bind(proj[s], proj_cols[s]);
     CollectedSide* out = &sides[s];
     const StarSchema* star = schemas[s];
     const size_t jcol = join_cols[s];
-    std::vector<ColumnSource> projection = proj[s];
     QueryRequest req = QueryRequest::FromSpec(sub[s]);
     req.deadline_ns = spec.deadline_ns;
-    req.aggregator_factory = [star, jcol, projection,
-                              out](const StarQuerySpec&) {
-      return std::make_unique<CollectorAggregator>(*star, jcol, projection,
-                                                   out);
+    req.aggregator_factory = [star, jcol, out](const StarQuerySpec&) {
+      return std::make_unique<CollectorAggregator>(*star, jcol, out);
     };
     auto ticket = Execute(std::move(req));
     if (!ticket.ok()) {
@@ -1027,24 +1050,24 @@ Result<ResultSet> QueryEngine::ExecuteGalaxyJoin(const GalaxyJoinSpec& spec) {
     index.emplace(sides[build].keys[i], i);
   }
 
-  GroupTable table(fns);
-  std::vector<Value> inputs(fns.size());
+  GroupTable table(std::move(layout));
+  std::vector<const uint8_t*> key_fields(key_refs.size());
+  std::vector<const uint8_t*> input_fields(agg_refs.size());
   for (size_t pi = 0; pi < sides[probe].keys.size(); ++pi) {
     auto [lo, hi] = index.equal_range(sides[probe].keys[pi]);
     for (auto it = lo; it != hi; ++it) {
       const size_t bi = it->second;
-      auto value_of = [&](const OutRef& ref) -> Value {
-        const size_t row = ref.side == probe ? pi : bi;
-        return sides[ref.side].values[row][ref.index];
+      auto field_of = [&](const OutRef& ref) -> const uint8_t* {
+        return sides[ref.side].Field(ref.side == probe ? pi : bi, ref.index);
       };
-      std::vector<Value> key;
-      key.reserve(key_refs.size());
-      for (const OutRef& ref : key_refs) key.push_back(value_of(ref));
-      for (size_t a = 0; a < fns.size(); ++a) {
-        inputs[a] =
-            agg_refs[a].index == SIZE_MAX ? Value() : value_of(agg_refs[a]);
+      for (size_t k = 0; k < key_refs.size(); ++k) {
+        key_fields[k] = field_of(key_refs[k]);
       }
-      table.Fold(std::move(key), inputs);
+      for (size_t a = 0; a < agg_refs.size(); ++a) {
+        input_fields[a] =
+            agg_refs[a].index == SIZE_MAX ? nullptr : field_of(agg_refs[a]);
+      }
+      table.Fold(key_fields.data(), input_fields.data());
     }
   }
 

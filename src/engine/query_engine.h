@@ -345,10 +345,13 @@ class QueryEngine {
                          std::vector<obs::Watchdog::QueueSample>& queues);
 
   /// Submits a normalized spec to the star's CJOIN pool with exact
-  /// snapshot capping under concurrent appends.
+  /// snapshot capping under concurrent appends. When `read_snapshot` is
+  /// set it receives the capped snapshot — the one the pipeline reads —
+  /// before the query is submitted, so before it can complete.
   Result<std::unique_ptr<QueryHandle>> SubmitToCJoin(
       StarEntry* entry, const std::shared_ptr<ExecPool>& pool,
-      StarQuerySpec spec, CJoinOperator::SubmitOptions options);
+      StarQuerySpec spec, CJoinOperator::SubmitOptions options,
+      std::atomic<SnapshotId>* read_snapshot = nullptr);
 
   Options opts_;
   /// The router feedback loop: fed by the completion observers of every

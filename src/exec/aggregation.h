@@ -4,9 +4,10 @@
 // attached dimension-row pointers, to the aggregation operator of every
 // query whose bit is set. Two implementations are provided:
 //
-//   * HashStarAggregator — hash-based group-by (the default);
-//   * SortStarAggregator — sort-based: buffers (key, inputs) pairs and
-//     aggregates sorted runs at Finish(). Slower but gives a second,
+//   * HashStarAggregator — hash-based group-by over the fixed-width
+//     GroupTable kernel (the default): typed loads, no per-tuple Values;
+//   * SortStarAggregator — sort-based: buffers Value (key, inputs) pairs
+//     and aggregates sorted runs at Finish(). Slower but gives a second,
 //     independently-derived answer used by property tests.
 //
 // Both consume (fact_row, dim_rows[]) and produce a ResultSet whose
@@ -52,6 +53,11 @@ std::unique_ptr<StarAggregator> MakeHashAggregator(const StarQuerySpec& spec);
 
 /// Creates the sort-based aggregator (for testing / comparison).
 std::unique_ptr<StarAggregator> MakeSortAggregator(const StarQuerySpec& spec);
+
+/// GroupTable layout of a normalized spec: its group-by columns' storage
+/// types, then one AggDef per aggregate (a fact expression's input is
+/// FieldType::Numeric()).
+GroupLayout StarGroupLayout(const StarQuerySpec& spec);
 
 /// Receives an aggregator's *partial* group state when it finishes.
 using PartialSink = std::function<void(GroupTable&& partial, uint64_t consumed)>;

@@ -103,12 +103,18 @@ class Schema {
     std::memcpy(row + columns_[col].offset, &v, sizeof(v));
   }
   /// Copies `v` into the char field, truncating or NUL-padding to the
-  /// declared length.
+  /// declared length. `v` ends at its first NUL, as GetChar reads it, so
+  /// equal values have equal field bytes (group keys compare raw bytes).
   void SetChar(uint8_t* row, size_t col, std::string_view v) const {
     const size_t cap = columns_[col].char_len;
     uint8_t* dst = row + columns_[col].offset;
-    const size_t n = v.size() < cap ? v.size() : cap;
-    std::memcpy(dst, v.data(), n);
+    size_t n = v.size() < cap ? v.size() : cap;
+    if (n > 0) {
+      if (const void* nul = std::memchr(v.data(), 0, n)) {
+        n = static_cast<size_t>(static_cast<const char*>(nul) - v.data());
+      }
+      std::memcpy(dst, v.data(), n);
+    }
     std::memset(dst + n, 0, cap - n);
   }
 
@@ -123,6 +129,20 @@ class Schema {
   std::vector<Column> columns_;
   size_t row_size_ = 0;
 };
+
+/// Hoisted integer-key load: the column's offset and physical width are
+/// resolved once per operator, not per row (what Schema::GetIntAny
+/// redoes on every call). Join keys are kInt32 or kInt64 columns.
+inline int64_t LoadFkKey(const uint8_t* row, uint32_t offset, bool is_i32) {
+  if (is_i32) {
+    int32_t v;
+    std::memcpy(&v, row + offset, sizeof(v));
+    return static_cast<int64_t>(v);
+  }
+  int64_t v;
+  std::memcpy(&v, row + offset, sizeof(v));
+  return v;
+}
 
 }  // namespace cjoin
 

@@ -1,4 +1,5 @@
-// Simulated shared disk (substitution substrate — see DESIGN.md §2).
+// Simulated shared disk (substitution substrate — see README, "Simulated
+// disk").
 //
 // The paper's evaluation ran on a 100 GB fact table behind a RAID array:
 // the decisive effect for the query-at-a-time baselines is that n private

@@ -108,6 +108,19 @@ TEST_F(CatalogTest, ValidateRejectsSumWithoutInput) {
   EXPECT_FALSE(ValidateSpec(spec).ok());
 }
 
+TEST_F(CatalogTest, ValidateRejectsSumAndAvgOverChar) {
+  // p_cat is CHAR(8): MIN/MAX/COUNT may read it, SUM/AVG may not.
+  StarQuerySpec spec = BaseSpec(ts_->star.get());
+  spec.dim_predicates.push_back(DimensionPredicate{0, MakeTrue()});
+  spec.aggregates.push_back(
+      AggregateSpec{AggFn::kMax, ColumnSource::Dim(0, 1), nullptr, "m"});
+  EXPECT_TRUE(ValidateSpec(spec).ok());
+  for (AggFn fn : {AggFn::kSum, AggFn::kAvg}) {
+    spec.aggregates[0].fn = fn;
+    EXPECT_EQ(ValidateSpec(spec).code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(CatalogTest, ValidateRejectsDoubleInput) {
   StarQuerySpec spec = BaseSpec(ts_->star.get());
   spec.aggregates.push_back(AggregateSpec{

@@ -219,7 +219,8 @@ TEST(CJoinOperatorTest, StaggeredAdmissionSharesTheScan) {
 
 TEST(CJoinOperatorTest, SequentialReuseOfQueryIds) {
   // More queries than maxConc, sequentially: ids get reused and the
-  // bit-vector invariant must survive reuse (DESIGN.md §5).
+  // bit-vector invariant must survive reuse (README, "Dimension filters
+  // and query-id reuse").
   auto ts = MakeTinyStar(500);
   CJoinOperator::Options opts = SmallOptions();
   opts.max_concurrent_queries = 2;  // forces heavy id reuse

@@ -363,6 +363,75 @@ TEST(AutoRoutingTest, SelectiveIdleToBaselineConcurrentToCJoin) {
 
 // ----------------------------- Galaxy joins ---------------------------------
 
+// --------------- The snapshot a wait-queued CJOIN ticket reports -------------
+
+TEST(WaitQueuedSnapshotTest, TicketReportsTheSnapshotThePipelineRead) {
+  auto ts = MakeTinyStar(50000);
+  // A slow disk keeps the running query's lap (~1 s) long, so the scan
+  // does not re-freeze — advancing the snapshot it covers — while the
+  // second query waits for the tenant's only slot.
+  SimDisk::Options dopts;
+  dopts.bandwidth_bytes_per_sec = 1.0 * 1024 * 1024;
+  SimDisk disk(dopts);
+  QueryEngine::Options eopts;
+  eopts.cjoin.disk = &disk;
+  QueryEngine engine(eopts);
+  ASSERT_TRUE(engine.RegisterStar("tiny", *ts->star).ok());
+  TenantQuota quota;
+  quota.max_inflight_cjoin = 1;
+  quota.max_wait_queue = 1;
+  ASSERT_TRUE(engine.SetTenantQuota("t", quota).ok());
+
+  auto submit = [&] {
+    QueryRequest req = QueryRequest::FromSpec(CountStar(*ts));
+    req.policy = RoutePolicy::kCJoin;
+    req.tenant = "t";
+    return engine.Execute(std::move(req));
+  };
+  const Schema& fs = ts->sales->schema();
+  auto append = [&] {
+    std::vector<std::vector<uint8_t>> rows;
+    for (int i = 0; i < 5; ++i) {
+      std::vector<uint8_t> p(fs.row_size(), 0);
+      fs.SetInt32(p.data(), 0, 1);
+      fs.SetInt32(p.data(), 1, 1);
+      rows.push_back(std::move(p));
+    }
+    return engine.AppendFacts("tiny", rows);
+  };
+
+  auto running = submit();
+  ASSERT_TRUE(running.ok()) << running.status().ToString();
+  ASSERT_TRUE(WaitForPhase((*running)->cjoin_handle(),
+                           QueryPhase::kRegistered, std::chrono::seconds(10)));
+  // Committed after the running query froze the scan, so not yet covered
+  // by it: the queued query's requested snapshot includes these rows.
+  ASSERT_TRUE(append().ok());
+  auto queued = submit();
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  ASSERT_EQ((*queued)->decision().admission.rfind("queued", 0), 0u)
+      << (*queued)->decision().admission;
+  const SnapshotId requested = (*queued)->snapshot();
+  // More appends commit while it waits.
+  ASSERT_TRUE(append().ok());
+
+  // Freeing the slot grants the parked query, whose submission caps its
+  // snapshot at what the scan covers.
+  (*running)->Cancel();
+  (void)(*running)->Wait();
+  auto rs = (*queued)->Wait();
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  const SnapshotId read = (*queued)->snapshot();
+  EXPECT_LT(read, requested);
+
+  StarQuerySpec at_read = *NormalizeSpec(CountStar(*ts));
+  at_read.snapshot = read;
+  const ResultSet ref = ReferenceEvaluate(at_read);
+  EXPECT_TRUE(rs->SameContents(ref))
+      << "ticket snapshot " << read << "\ngot:\n" << rs->ToString()
+      << "reference:\n" << ref.ToString();
+}
+
 TEST(GalaxyTest, DeadlineAppliesToBothSides) {
   auto ts = MakeTinyStar(50000);
   SimDisk::Options dopts;

@@ -75,6 +75,13 @@ TEST_F(EngineEdgeTest, GalaxyJoinValidatesSpec) {
   g.left_join_col = 0;
   g.aggregates.push_back({AggFn::kCount, 7, std::nullopt, "n"});  // bad side
   EXPECT_FALSE(engine_->ExecuteGalaxyJoin(g).ok());
+  // Projections out of range, and SUM over a CHAR column (p_cat).
+  g.aggregates = {{AggFn::kMax, 0, ColumnSource::Fact(99), "m"}};
+  EXPECT_FALSE(engine_->ExecuteGalaxyJoin(g).ok());
+  g.aggregates = {{AggFn::kMax, 0, ColumnSource::Dim(9, 0), "m"}};
+  EXPECT_FALSE(engine_->ExecuteGalaxyJoin(g).ok());
+  g.aggregates = {{AggFn::kSum, 0, ColumnSource::Dim(0, 1), "s"}};
+  EXPECT_FALSE(engine_->ExecuteGalaxyJoin(g).ok());
 }
 
 TEST_F(EngineEdgeTest, SelfGalaxyJoinOnSameStar) {

@@ -1,5 +1,8 @@
 // Unit tests for aggregation operators and result sets, including the
-// hash-vs-sort aggregator equivalence property.
+// hash-vs-sort aggregator equivalence property and a differential test of
+// the fixed-width GroupTable kernel against the sort-based oracle.
+
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +14,11 @@
 namespace cjoin {
 namespace {
 
+using testing::MakeMixedStar;
 using testing::MakeTinyStar;
+using testing::MixedStar;
+using testing::RandomMixedSpec;
+using testing::SameContentsApprox;
 using testing::TinyStar;
 
 // ------------------------------ ResultSet -----------------------------------
@@ -250,6 +257,123 @@ TEST_F(AggregationTest, NullDimRowContributesNull) {
   ResultSet rs = agg->Finish();
   ASSERT_EQ(rs.num_rows(), 1u);
   EXPECT_TRUE(rs.rows[0][0].is_null());
+}
+
+// ------------------- GroupTable kernel vs the sort oracle -------------------
+
+/// Feeds every fact row of a MixedStar to `sinks[i % sinks.size()]`, with
+/// dim_rows[d] = nullptr (SQL NULL) where the foreign key joins nothing.
+void FeedMixed(const MixedStar& ms,
+               const std::vector<StarAggregator*>& sinks) {
+  const StarSchema& star = *ms.star;
+  const Schema& fs = ms.fact->schema();
+  std::vector<KeyRowMap> maps;
+  for (size_t d = 0; d < star.num_dimensions(); ++d) {
+    const DimensionDef& def = star.dimension(d);
+    KeyRowMap m(def.table->NumRows());
+    for (uint64_t i = 0; i < def.table->NumRows(); ++i) {
+      const uint8_t* row = def.table->RowPayload(RowId{0, i});
+      m.Insert(def.table->schema().GetIntAny(row, def.dim_pk_col), row);
+    }
+    maps.push_back(std::move(m));
+  }
+  std::vector<const uint8_t*> dims(star.num_dimensions());
+  for (uint64_t i = 0; i < ms.fact->NumRows(); ++i) {
+    const uint8_t* row = ms.fact->RowPayload(RowId{0, i});
+    for (size_t d = 0; d < star.num_dimensions(); ++d) {
+      dims[d] = maps[d].Find(
+          fs.GetIntAny(row, star.dimension(d).fact_fk_col));
+    }
+    sinks[i % sinks.size()]->Consume(row, dims.data());
+  }
+}
+
+TEST(GroupTableDifferentialTest, HashAndMergedPartialsMatchSortOracle) {
+  auto ms = MakeMixedStar(/*seed=*/7, /*num_facts=*/3000);
+  const StarSchema& star = *ms->star;
+  Rng rng(11);
+  std::set<AggFn> fns_seen;
+  std::set<DataType> key_types_seen;
+  int with_expr = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const StarQuerySpec spec = RandomMixedSpec(*ms, rng);
+    for (const ColumnSource& g : spec.group_by) {
+      const Schema& sch = g.from == ColumnSource::From::kFact
+                              ? star.fact().schema()
+                              : star.dimension(g.dim_index).table->schema();
+      key_types_seen.insert(sch.column(g.column).type);
+    }
+    for (const AggregateSpec& a : spec.aggregates) {
+      fns_seen.insert(a.fn);
+      with_expr += a.fact_expr != nullptr;
+    }
+
+    auto hash = MakeHashAggregator(spec);
+    auto sort = MakeSortAggregator(spec);
+    // Three partial aggregators over disjoint thirds of the input,
+    // merged the way the sharded collector merges shard partials.
+    std::vector<GroupTable> partials;
+    std::vector<std::unique_ptr<StarAggregator>> parts;
+    for (int p = 0; p < 3; ++p) {
+      parts.push_back(MakePartialHashAggregator(
+          spec, [&partials](GroupTable&& t, uint64_t) {
+            partials.push_back(std::move(t));
+          }));
+    }
+    FeedMixed(*ms, {hash.get()});
+    FeedMixed(*ms, {sort.get()});
+    FeedMixed(*ms, {parts[0].get(), parts[1].get(), parts[2].get()});
+
+    const ResultSet want = sort->Finish();
+    const ResultSet got = hash->Finish();
+    for (auto& p : parts) (void)p->Finish();
+    ASSERT_EQ(partials.size(), 3u);
+    GroupTable merged(StarGroupLayout(spec));
+    for (GroupTable& t : partials) merged.MergeFrom(std::move(t));
+    const ResultSet got_merged =
+        merged.Finish(want.columns, spec.group_by.empty());
+
+    EXPECT_TRUE(SameContentsApprox(got, want))
+        << "iteration " << iter << "\nhash:\n" << got.ToString(20)
+        << "sort:\n" << want.ToString(20);
+    EXPECT_TRUE(SameContentsApprox(got_merged, want))
+        << "iteration " << iter << "\nmerged:\n" << got_merged.ToString(20)
+        << "sort:\n" << want.ToString(20);
+    EXPECT_EQ(got.tuples_consumed, ms->fact->NumRows());
+  }
+  // The random specs covered every aggregate and every key type.
+  EXPECT_EQ(fns_seen.size(), 5u);
+  EXPECT_EQ(key_types_seen.size(), 4u);
+  EXPECT_GT(with_expr, 0);
+}
+
+TEST(GroupTableTest, SignedZeroAndNullKeys) {
+  // -0.0 and 0.0 are one group; NULL is a group of its own, distinct from
+  // every value (including the empty CHAR string).
+  GroupTable table(GroupLayout{
+      {FieldType{FieldType::Kind::kDouble, 0},
+       FieldType{FieldType::Kind::kChar, 3}},
+      {AggDef{AggFn::kCount, {}}}});
+  const double pos = 0.0, neg = -0.0;
+  const uint8_t empty[3] = {0, 0, 0};
+  auto p = [](const void* v) { return static_cast<const uint8_t*>(v); };
+  const uint8_t* none[1] = {nullptr};
+  const uint8_t* k1[2] = {p(&pos), empty};
+  const uint8_t* k2[2] = {p(&neg), empty};
+  const uint8_t* k3[2] = {nullptr, empty};
+  const uint8_t* k4[2] = {p(&pos), nullptr};
+  table.Fold(k1, none);
+  table.Fold(k2, none);
+  table.Fold(k3, none);
+  table.Fold(k4, none);
+  EXPECT_EQ(table.num_groups(), 3u);
+  ResultSet rs = table.Finish({"d", "c", "n"}, false);
+  rs.SortRows();
+  ASSERT_EQ(rs.num_rows(), 3u);
+  EXPECT_TRUE(rs.rows[0][0].is_null());   // (NULL, '')
+  EXPECT_TRUE(rs.rows[1][1].is_null());   // (0, NULL)
+  EXPECT_EQ(rs.rows[2][2].AsInt(), 2);    // (0, '') twice
+  EXPECT_EQ(rs.rows[2][1].AsString(), "");
 }
 
 }  // namespace
